@@ -92,8 +92,7 @@ std::vector<float> QuantizedMatrix::gemv(std::span<const float> x) const {
 void QuantizedMatrix::gemv_into(std::span<const float> x, std::span<float> y) const {
   HYBRIMOE_REQUIRE(x.size() == cols_, "quantized gemv dimension mismatch");
   HYBRIMOE_REQUIRE(y.size() == rows_, "quantized gemv output dimension mismatch");
-  for (std::size_t r = 0; r < rows_; ++r)
-    y[r] = static_cast<float>(simd::q4_dot(row_blocks(r), x));
+  simd::q4_gemv(blocks_, rows_, x, y);
 }
 
 }  // namespace hybrimoe::kernels

@@ -1,9 +1,11 @@
 #include "kernels/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -106,38 +108,66 @@ HYBRIMOE_AVX2_FN inline double hsum_pd(__m256d v) {
   return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
 }
 
-HYBRIMOE_AVX2_FN double dot_avx2(const float* a, const float* b, std::size_t n) {
+/// Four consecutive values widened to double: floats are converted on load,
+/// doubles (an operand the caller widened once up front) are read as is.
+HYBRIMOE_AVX2_FN inline __m256d load4_pd(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+HYBRIMOE_AVX2_FN inline __m256d load4_pd(const double* p) { return _mm256_loadu_pd(p); }
+
+/// Dot of `a` against `b` (floats, or doubles already widened from floats —
+/// the same values, so the same result bit for bit). Four accumulators over
+/// 16-value chunks, one 8-value step, a fixed-order horizontal sum, then the
+/// scalar tail. With a non-null `ahead`, every 16-value chunk also prefetches
+/// the line at the same offset of `ahead` (an equally long row further on).
+template <typename B>
+HYBRIMOE_AVX2_FN double dot_avx2(const float* a, const B* b, std::size_t n,
+                                 const float* ahead = nullptr) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   __m256d acc2 = _mm256_setzero_pd();
   __m256d acc3 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256 va0 = _mm256_loadu_ps(a + i);
-    const __m256 vb0 = _mm256_loadu_ps(b + i);
-    const __m256 va1 = _mm256_loadu_ps(a + i + 8);
-    const __m256 vb1 = _mm256_loadu_ps(b + i + 8);
-    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va0)),
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(vb0)), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va0, 1)),
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(vb0, 1)), acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va1)),
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(vb1)), acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va1, 1)),
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(vb1, 1)), acc3);
+    if (ahead != nullptr)
+      _mm_prefetch(reinterpret_cast<const char*>(ahead + i), _MM_HINT_T0);
+    acc0 = _mm256_fmadd_pd(load4_pd(a + i), load4_pd(b + i), acc0);
+    acc1 = _mm256_fmadd_pd(load4_pd(a + i + 4), load4_pd(b + i + 4), acc1);
+    acc2 = _mm256_fmadd_pd(load4_pd(a + i + 8), load4_pd(b + i + 8), acc2);
+    acc3 = _mm256_fmadd_pd(load4_pd(a + i + 12), load4_pd(b + i + 12), acc3);
   }
   for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(vb)), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)), acc1);
+    acc0 = _mm256_fmadd_pd(load4_pd(a + i), load4_pd(b + i), acc0);
+    acc1 = _mm256_fmadd_pd(load4_pd(a + i + 4), load4_pd(b + i + 4), acc1);
   }
   double acc = hsum_pd(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                      _mm256_add_pd(acc2, acc3)));
   for (; i < n; ++i) acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   return acc;
+}
+
+/// How many rows ahead of the one being reduced a whole-matrix gemv
+/// prefetches. Decode-time expert weights do not fit in cache, so the row
+/// stream, not the arithmetic, sets the pace. On 256x512 experts streamed
+/// from beyond L2, 2, 4 and 8 rows ahead measured alike and 16 slower; 4
+/// sits in the middle of that plateau.
+constexpr std::size_t kPrefetchRows = 4;
+
+/// Index of the row to prefetch while reducing row `r` of `rows` (> 0):
+/// kPrefetchRows ahead, clamped to the last row, so the prefetch address is
+/// always inside the matrix.
+inline std::size_t ahead_row(std::size_t r, std::size_t rows) {
+  return std::min(r + kPrefetchRows, rows - 1);
+}
+
+/// Whole-matrix gemv over `xd` (x widened once by the caller): each row gets
+/// exactly dot_avx2's accumulation while the row kPrefetchRows ahead streams
+/// in.
+HYBRIMOE_AVX2_FN void gemv_avx2(const float* w, std::size_t rows, const double* xd,
+                                std::size_t cols, float* y) {
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(
+        dot_avx2(w + r * cols, xd, cols, w + ahead_row(r, rows) * cols));
 }
 
 /// Cephes-style expf over 8 lanes: 2^k * p(r) with the input clamped to the
@@ -224,13 +254,17 @@ HYBRIMOE_AVX2_FN inline void q4_mac8(__m128i codes8, const float* xp,
                          _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1)), acc1);
 }
 
+/// With a non-null `ahead`, every block also prefetches the block at the same
+/// index of `ahead` (an equally long row further on).
 HYBRIMOE_AVX2_FN double q4_dot_avx2(const Q4Block* blocks, const float* x,
-                                    std::size_t n) {
+                                    std::size_t n, const Q4Block* ahead = nullptr) {
   const __m128i nibble_mask = _mm_set1_epi8(0x0F);
   const __m128i bias = _mm_set1_epi8(8);
   double acc = 0.0;
   const std::size_t num_blocks = (n + Q4Block::kValues - 1) / Q4Block::kValues;
   for (std::size_t b = 0; b < num_blocks; ++b) {
+    if (ahead != nullptr)
+      _mm_prefetch(reinterpret_cast<const char*>(ahead + b), _MM_HINT_T0);
     const Q4Block& block = blocks[b];
     const std::size_t base = b * Q4Block::kValues;
     const std::size_t len = std::min(Q4Block::kValues, n - base);
@@ -259,6 +293,17 @@ HYBRIMOE_AVX2_FN double q4_dot_avx2(const Q4Block* blocks, const float* x,
     acc += block_acc * block.scale;
   }
   return acc;
+}
+
+/// Whole-matrix Q4 gemv: each row gets exactly q4_dot_avx2's accumulation
+/// while the row kPrefetchRows ahead streams in.
+HYBRIMOE_AVX2_FN void q4_gemv_avx2(const Q4Block* blocks, std::size_t rows,
+                                   std::size_t blocks_per_row, const float* x,
+                                   std::size_t cols, float* y) {
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(
+        q4_dot_avx2(blocks + r * blocks_per_row, x, cols,
+                    blocks + ahead_row(r, rows) * blocks_per_row));
 }
 
 #endif  // HYBRIMOE_SIMD_AVX2
@@ -310,6 +355,26 @@ double dot(std::span<const float> a, std::span<const float> b) {
   return dot_scalar(a.data(), b.data(), a.size());
 }
 
+void gemv(std::span<const float> w, std::size_t rows, std::span<const float> x,
+          std::span<float> y) {
+  const std::size_t cols = x.size();
+  HYBRIMOE_REQUIRE(w.size() == rows * cols, "simd::gemv matrix/x shape mismatch");
+  HYBRIMOE_REQUIRE(y.size() == rows, "simd::gemv output length mismatch");
+  if (rows == 0) return;
+#if HYBRIMOE_SIMD_AVX2
+  if (active_level() == IsaLevel::Avx2) {
+    // x widened once per call, not once per row; per-thread, so concurrent
+    // executor lanes never share it, and it only ever grows.
+    thread_local std::vector<double> xd;
+    xd.assign(x.begin(), x.end());
+    gemv_avx2(w.data(), rows, xd.data(), cols, y.data());
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(dot_scalar(w.data() + r * cols, x.data(), cols));
+}
+
 void silu(std::span<float> values) {
 #if HYBRIMOE_SIMD_AVX2
   if (active_level() == IsaLevel::Avx2) {
@@ -351,6 +416,25 @@ double q4_dot(std::span<const Q4Block> blocks, std::span<const float> x) {
     return q4_dot_avx2(blocks.data(), x.data(), x.size());
 #endif
   return q4_dot_scalar(blocks.data(), x.data(), x.size());
+}
+
+void q4_gemv(std::span<const Q4Block> blocks, std::size_t rows,
+             std::span<const float> x, std::span<float> y) {
+  HYBRIMOE_REQUIRE(y.size() == rows, "simd::q4_gemv output length mismatch");
+  if (rows == 0) return;
+  const std::size_t blocks_per_row = blocks.size() / rows;
+  HYBRIMOE_REQUIRE(blocks_per_row * rows == blocks.size() &&
+                       blocks_per_row * Q4Block::kValues >= x.size(),
+                   "simd::q4_gemv: blocks do not form rows covering x");
+#if HYBRIMOE_SIMD_AVX2
+  if (active_level() == IsaLevel::Avx2) {
+    q4_gemv_avx2(blocks.data(), rows, blocks_per_row, x.data(), x.size(), y.data());
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(
+        q4_dot_scalar(blocks.data() + r * blocks_per_row, x.data(), x.size()));
 }
 
 }  // namespace hybrimoe::kernels::simd

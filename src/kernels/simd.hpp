@@ -19,7 +19,10 @@
 ///  * dot / rmsnorm / q4_dot: double accumulation in both variants, only the
 ///    association differs — a few ulp after the final rounding to float;
 ///  * silu / swiglu: the AVX2 exp polynomial is accurate to ~2 ulp over the
-///    clamped range [-87.3, 88.7], so outputs agree to ~1e-6 relative.
+///    clamped range [-87.3, 88.7], so outputs agree to ~1e-6 relative;
+///  * gemv / q4_gemv: at either level, every output is bit-identical to the
+///    same level's per-row dot / q4_dot — the whole-matrix form only changes
+///    how the weights stream in, never the arithmetic.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,6 +80,15 @@ class ForcedLevel {
 /// reproducible-small-scale-math convention of ops::gemv). Dispatched.
 [[nodiscard]] double dot(std::span<const float> a, std::span<const float> b);
 
+/// y = W * x for a row-major W of `rows` x x.size() floats (`w.size()` must be
+/// rows * x.size(), `y.size()` rows): y[r] is static_cast<float>(dot(row r,
+/// x)) bit for bit. The AVX2 variant widens x to double once per call rather
+/// than once per row and prefetches the row a fixed distance ahead (clamped
+/// to the matrix), so weights that do not fit in cache stream at memory
+/// speed. Dispatched.
+void gemv(std::span<const float> w, std::size_t rows, std::span<const float> x,
+          std::span<float> y);
+
 /// In-place SiLU: v <- v / (1 + exp(-v)). Dispatched.
 void silu(std::span<float> values);
 
@@ -96,5 +108,13 @@ void rmsnorm(std::span<float> values, float eps);
 /// Dispatched.
 [[nodiscard]] double q4_dot(std::span<const Q4Block> blocks,
                             std::span<const float> x);
+
+/// y = W * x for W stored as `rows` equally long runs of Q4 blocks
+/// (`blocks.size()` a multiple of `rows`, each run covering x.size()
+/// values, `y.size()` rows): y[r] is static_cast<float>(q4_dot(run r, x))
+/// bit for bit, with the same fixed-distance row prefetch as gemv in the
+/// AVX2 variant. Dispatched.
+void q4_gemv(std::span<const Q4Block> blocks, std::size_t rows,
+             std::span<const float> x, std::span<float> y);
 
 }  // namespace hybrimoe::kernels::simd

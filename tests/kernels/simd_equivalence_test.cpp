@@ -5,6 +5,9 @@
 /// denormal / negative-zero inputs. Both dispatch levels are exercised via
 /// ForcedLevel; when the host lacks AVX2 the comparison cases skip (the
 /// scalar path is then the only variant and is covered by ops/quant tests).
+/// The whole-matrix gemv / q4_gemv are held to a stricter contract: at each
+/// level, bit-identical to that level's per-row dot / q4_dot, with a frozen
+/// per-row reference expert forward as the end-to-end proof.
 
 #include "kernels/simd.hpp"
 
@@ -13,10 +16,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "kernels/expert.hpp"
+#include "kernels/ops.hpp"
 #include "kernels/quant.hpp"
 #include "util/rng.hpp"
 
@@ -331,6 +337,194 @@ TEST(SimdEdgeInputTest, RmsnormOfDenormalsStaysFinite) {
   for (std::size_t i = 0; i < simd_vals.size(); ++i) {
     EXPECT_TRUE(std::isfinite(simd_vals[i]));
     expect_close(scalar_vals[i], simd_vals[i], 4, 1e-9, "rmsnorm-denormal", i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-matrix gemv: at each level, bit-identical to per-row dot.
+
+/// Every level this host can run (Scalar always, Avx2 when detected).
+std::vector<IsaLevel> runnable_levels() {
+  std::vector<IsaLevel> levels{IsaLevel::Scalar};
+  if (avx2_available()) levels.push_back(IsaLevel::Avx2);
+  return levels;
+}
+
+/// Bitwise float equality (distinguishes -0 from +0, unlike ==).
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+class SimdGemvTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimdGemvTest, EveryRowEqualsPerRowDotBitForBit) {
+  const std::size_t cols = GetParam();
+  const auto x = make_values(cols, 900 + cols);
+  for (const IsaLevel level : runnable_levels()) {
+    ForcedLevel pin(level);
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      const auto values = make_values(rows * cols, 1000 + rows * 100 + cols);
+      // Exactly sized allocations, so the matrix ends where its storage
+      // does (ASan flags any read past it): one aligned as allocated, one
+      // offset by a float so no row starts on a vector boundary.
+      std::vector<float> aligned(values);
+      std::vector<float> storage;
+      const auto offset = unaligned(storage, rows * cols);
+      std::copy(values.begin(), values.end(), offset.begin());
+      for (const std::span<const float> w :
+           {std::span<const float>(aligned), std::span<const float>(offset)}) {
+        std::vector<float> y(rows);
+        gemv(w, rows, x, y);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto expected =
+              static_cast<float>(dot(w.subspan(r * cols, cols), x));
+          EXPECT_TRUE(same_bits(y[r], expected))
+              << to_string(level) << " rows=" << rows << " cols=" << cols
+              << " row " << r << ": gemv=" << y[r] << " dot=" << expected;
+        }
+      }
+    }
+  }
+}
+
+/// A [rows x cols] matrix and an x whose row dots cancel: each row's second
+/// half repeats its first, and x's second half is minus its first at scale
+/// 1e9 plus an O(1) perturbation. Partial sums reach ~1e9 while the dots
+/// are O(1), so double rounding errors show up in the float results and a
+/// change in accumulation order changes the output bits.
+struct CancellingCase {
+  std::vector<float> w, x;
+};
+
+CancellingCase cancelling_case(std::size_t rows, std::size_t cols) {
+  const std::size_t half = cols / 2;
+  const auto u = make_values(cols, 1500 + cols);
+  const auto e = make_values(cols, 1600 + cols);
+  CancellingCase c{make_values(rows * cols, 1700 + rows * 100 + cols),
+                   std::vector<float>(cols)};
+  for (std::size_t i = 0; i < half; ++i) {
+    c.x[i] = 1e9f * u[i];
+    c.x[half + i] = -1e9f * u[i] + e[i];
+  }
+  if (cols % 2 == 1) c.x[cols - 1] = e[cols - 1];
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t i = 0; i < half; ++i)
+      c.w[r * cols + half + i] = c.w[r * cols + i];
+  return c;
+}
+
+TEST(SimdGemvCancellationTest, AccumulationOrderIsExactlyPerRowDot) {
+  std::size_t level_disagreements = 0;
+  for (std::size_t cols = 1; cols <= 67; ++cols) {
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      const CancellingCase c = cancelling_case(rows, cols);
+      std::vector<std::vector<float>> per_level;
+      for (const IsaLevel level : runnable_levels()) {
+        ForcedLevel pin(level);
+        std::vector<float> y(rows);
+        gemv(c.w, rows, c.x, y);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto expected = static_cast<float>(
+              dot(std::span<const float>(c.w).subspan(r * cols, cols), c.x));
+          EXPECT_TRUE(same_bits(y[r], expected))
+              << to_string(level) << " rows=" << rows << " cols=" << cols
+              << " row " << r << ": gemv=" << y[r] << " dot=" << expected;
+        }
+        per_level.push_back(std::move(y));
+      }
+      if (per_level.size() == 2)
+        for (std::size_t r = 0; r < rows; ++r)
+          if (!same_bits(per_level[0][r], per_level[1][r])) ++level_disagreements;
+    }
+  }
+  // The inputs must be able to tell accumulation orders apart, or the
+  // bit-identity above proves nothing: scalar and AVX2 associate the sum
+  // differently, so on these inputs they must disagree somewhere.
+  if (avx2_available()) {
+    EXPECT_GT(level_disagreements, 0U);
+  }
+}
+
+TEST_P(SimdGemvTest, Q4GemvEqualsPerRowQ4DotBitForBit) {
+  const std::size_t cols = GetParam();
+  const auto x = make_values(cols, 1100 + cols);
+  const std::size_t rows = 1 + cols % 9;
+  util::Rng rng(1200 + cols);
+  const auto matrix =
+      QuantizedMatrix::quantize(Tensor::randn(rng, rows, cols, 1.0));
+  for (const IsaLevel level : runnable_levels()) {
+    ForcedLevel pin(level);
+    std::vector<float> y(rows);
+    matrix.gemv_into(x, y);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto expected = static_cast<float>(q4_dot(matrix.row_blocks(r), x));
+      EXPECT_TRUE(same_bits(y[r], expected))
+          << to_string(level) << " rows=" << rows << " cols=" << cols
+          << " row " << r << ": q4 gemv=" << y[r] << " q4_dot=" << expected;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cols1To67, SimdGemvTest,
+                         ::testing::Range(std::size_t{1}, std::size_t{68}));
+
+TEST(SimdGemvShapeTest, EmptyShapesAndMismatchesAreHandled) {
+  for (const IsaLevel level : runnable_levels()) {
+    ForcedLevel pin(level);
+    const std::vector<float> x(3, 1.0f);
+    std::vector<float> none;
+    gemv({}, 0, x, none);  // zero rows: nothing to write
+    std::vector<float> y(2, 7.0f);
+    gemv({}, 2, {}, y);    // zero columns: every row sums to 0
+    EXPECT_EQ(y, std::vector<float>(2, 0.0f));
+    const std::vector<float> w(5, 1.0f);
+    EXPECT_THROW(gemv(w, 2, x, y), std::invalid_argument);
+    std::vector<float> short_y(1);
+    EXPECT_THROW(gemv(std::vector<float>(6, 1.0f), 2, x, short_y),
+                 std::invalid_argument);
+  }
+}
+
+/// The expert forward as it was computed before the whole-matrix gemv: one
+/// simd::dot per output row of gate, up and down, then the SwiGLU combine.
+/// Frozen here as the reference kernels::expert_forward must reproduce byte
+/// for byte.
+std::vector<float> per_row_expert_forward(const ExpertWeights& w,
+                                          std::span<const float> x) {
+  std::vector<float> gate(w.d_ff()), up(w.d_ff()), hidden(w.d_ff());
+  for (std::size_t r = 0; r < w.d_ff(); ++r) {
+    gate[r] = static_cast<float>(dot(w.gate.row(r), x));
+    up[r] = static_cast<float>(dot(w.up.row(r), x));
+  }
+  swiglu(gate, up, hidden);
+  std::vector<float> out(w.d_model());
+  for (std::size_t r = 0; r < w.d_model(); ++r)
+    out[r] = static_cast<float>(dot(w.down.row(r), hidden));
+  return out;
+}
+
+TEST(SimdGemvExpertTest, ExpertForwardMatchesPerRowReferenceByteForByte) {
+  struct Shape {
+    std::size_t d_model, d_ff;
+  };
+  // The executor default, the benchmark's functional geometry, and odd
+  // sizes that leave 8-value steps and scalar tails in every projection.
+  for (const Shape shape : {Shape{32, 64}, Shape{256, 512}, Shape{37, 75},
+                            Shape{9, 23}}) {
+    util::Rng rng(1300 + shape.d_model);
+    const auto weights = ExpertWeights::random(rng, shape.d_model, shape.d_ff);
+    const auto x = make_values(shape.d_model, 1400 + shape.d_ff);
+    for (const IsaLevel level : runnable_levels()) {
+      ForcedLevel pin(level);
+      const auto expected = per_row_expert_forward(weights, x);
+      const auto actual = expert_forward(weights, x);
+      ASSERT_EQ(actual.size(), expected.size());
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            actual.size() * sizeof(float)),
+                0)
+          << to_string(level) << " d_model=" << shape.d_model
+          << " d_ff=" << shape.d_ff;
+    }
   }
 }
 

@@ -113,12 +113,18 @@ TEST(MultiDeviceExecutor, AsyncCopiesRouteToTheirLinks) {
   const std::vector<AsyncCopy> copies{{.id = {1, 0}, .link = 0, .seconds = 10.0},
                                       {.id = {1, 1}, .link = 1, .seconds = 10.0},
                                       {.id = {1, 2}, .link = 1, .seconds = 10.0}};
-  HybridExecutor executor(fast_options(2));
+  // Paced at 10 ms per modeled second, not fast_options' 100 us: the +10
+  // margin below is then 100 ms of wall clock, which scheduler stalls on a
+  // loaded host (a few ms) cannot reach, while a layer that waited on the
+  // busiest link would still overrun it by 2x.
+  ExecOptions options = fast_options(2);
+  options.time_scale = 1e-2;
+  HybridExecutor executor(options);
   executor.begin_step();
   const auto result = executor.execute_layer(plan, 0.0, copies);
   // Speculative copies must not extend the layer window (the +10 margin
-  // absorbs sleep overshoot at this time scale, well under the 20s the
-  // busiest link would add if the layer waited).
+  // absorbs sleep overshoot, well under the 20s the busiest link would add
+  // if the layer waited).
   EXPECT_LT(result.measured, plan.makespan + 10.0);
   const auto step = executor.end_step();  // drains every link
   EXPECT_EQ(step.layers, 1u);

@@ -253,6 +253,11 @@ struct OptionCase {
   SimOptions options;
 };
 
+// Without a printer gtest lists a param as its raw bytes, which begin with
+// the ASLR-randomised address of `name`; the registered test names then
+// changed from one build (and one discovery run) to the next.
+void PrintTo(const OptionCase& option_case, std::ostream* os) { *os << option_case.name; }
+
 class PlanValidityTest : public ::testing::TestWithParam<OptionCase> {};
 
 TEST_P(PlanValidityTest, RandomInstancesAlwaysValid) {

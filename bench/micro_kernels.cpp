@@ -3,7 +3,10 @@
 /// hot-path kernels (gemv, silu, swiglu, rmsnorm, Q4 gemv) on plain
 /// std::chrono, with a self-enforcing speedup floor on the large gemv and a
 /// cross-check that both dispatch levels agree numerically. It needs no
-/// benchmark library, so it builds and CI measures on every host.
+/// benchmark library, so it builds and CI measures on every host. Every row
+/// but `gemv_stream` reuses one cache-resident input; `gemv_stream` cycles
+/// over 256 MB of distinct expert-projection matrices, so its weights come
+/// from DRAM as they do in decode. It is reported, not gated.
 ///
 ///   bench_micro_kernels results/BENCH_kernels.json   # gate + artifact
 ///   bench_micro_kernels --meta meta.json             # metadata only (no
@@ -132,6 +135,19 @@ std::vector<KernelResult> run_kernels(bool timings) {
   // Q4 gemv over the same large shape as the dense gate subject.
   const auto q_large = kernels::QuantizedMatrix::quantize(w_large);
   std::vector<float> yq_large(256);
+  // Cold-stream gemv at the executor's 512x256 expert projection shape: 512
+  // copies of one matrix (256 MB, far past any LLC), one per call in turn.
+  // Allocated only when timed; the --meta view needs the shape alone.
+  constexpr std::size_t kStreamRows = 512;
+  constexpr std::size_t kStreamCols = 256;
+  constexpr std::size_t kStreamBytes = std::size_t{256} << 20;
+  const auto w_stream = kernels::Tensor::randn(rng, kStreamRows, kStreamCols);
+  const auto x_stream = random_vector(rng, kStreamCols);
+  std::vector<kernels::Tensor> stream;
+  if (timings)
+    stream.assign(kStreamBytes / (kStreamRows * kStreamCols * sizeof(float)), w_stream);
+  std::size_t stream_next = 0;
+  std::vector<float> y_stream(kStreamRows);
 
   struct Case {
     const char* name;
@@ -166,6 +182,16 @@ std::vector<KernelResult> run_kernels(bool timings) {
       {"q4_gemv", 256, 1024,
        [&] { q_large.gemv_into(x_large, yq_large); keep(yq_large.data()); },
        [&] { return yq_large; }},
+      {"gemv_stream", kStreamRows, kStreamCols,
+       [&] {
+         kernels::gemv_into(stream[stream_next], x_stream, y_stream);
+         stream_next = (stream_next + 1) % stream.size();
+         keep(y_stream.data());
+       },
+       [&] {
+         kernels::gemv_into(w_stream, x_stream, y_stream);
+         return y_stream;
+       }},
   };
 
   for (const Case& c : cases) {

@@ -4,10 +4,10 @@
 /// The PCIe lane of the threaded execution backend: one dedicated thread
 /// servicing transfer jobs strictly in submission order, exactly as the
 /// simulator models the link as a single serially-occupied resource. Jobs
-/// are closures built by the executor — each performs the real work
-/// (memcpy of an expert weight blob into the device staging buffer) and
-/// paces itself to the scaled modeled transfer duration, then publishes its
-/// completion to the task graph.
+/// are closures built by the executor — a transfer stands for a DMA, so a
+/// job moves no host bytes: it paces itself to the scaled modeled transfer
+/// duration (in a paced step), then publishes its completion to the task
+/// graph.
 ///
 /// Thread-safety: submit() and drain() may be called from any thread (the
 /// executor calls them from the engine thread). Jobs run on the copy thread

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -38,24 +37,40 @@ std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t value) noexcept {
 }
 
 /// Per-layer completion board shared (by shared_ptr) with every task the
-/// layer spawns, so worker/copy-thread closures never reference the engine
-/// thread's stack. `done[i]` publishes completion of plan task i's async
-/// prerequisite (transfer or CPU compute); the single mutex/cv pair is
-/// uncontended at the backend's millisecond pacing granularity.
+/// layer spawns, so worker/copy/lane-thread closures never reference the
+/// engine thread's stack or the caller's plan: each lane's tasks are copied
+/// in, because the plan is gone once the engine thread unwinds from a failed
+/// layer while other lanes still run. `done[i]` publishes completion of plan
+/// task i's async prerequisite (transfer or CPU compute); the single
+/// mutex/cv pair is uncontended at the backend's millisecond pacing
+/// granularity.
 struct HybridExecutor::LayerBoard {
-  struct CpuTask {
+  struct LaneTask {
     std::size_t idx = 0;        ///< plan task index
     moe::ExpertId id;
     PaceClock::duration dur{};  ///< scaled modeled compute duration
+    bool gated = false;         ///< waits for its transfer (done[idx])
   };
+
+  /// `device`'s tasks of `plan` in start order, with their paced durations.
+  static std::vector<LaneTask> lane(const sched::LayerPlan& plan, sched::DeviceId device,
+                                    double scale) {
+    std::vector<LaneTask> tasks;
+    for (const std::size_t i : plan.device_order(device)) {
+      const auto& t = plan.tasks[i];
+      tasks.push_back({i, t.expert, scaled_duration(t.end - t.start, scale), t.transferred});
+    }
+    return tasks;
+  }
 
   std::mutex m;
   std::condition_variable cv;
   std::vector<char> done;                 ///< per plan-task completion flag
   std::size_t cpu_remaining = 0;
   std::size_t lanes_remaining = 0;        ///< extra accelerator lanes in flight
-  std::vector<CpuTask> cpu;               ///< CPU lane, plan start order
-  const sched::LayerPlan* plan = nullptr; ///< the plan being executed
+  std::vector<LaneTask> cpu;              ///< CPU lane, plan start order
+  std::vector<std::vector<LaneTask>> accel;  ///< accelerator lanes, plan start order
+  PaceClock::duration dense{};            ///< scaled dense head of every accelerator
   std::span<const float> input;           ///< layer input (stable in the store)
   std::vector<std::vector<float>> slots;  ///< per plan-task expert outputs
   bool compute = true;
@@ -71,10 +86,7 @@ HybridExecutor::~HybridExecutor() = default;
 
 void HybridExecutor::ensure_started(std::size_t num_links, std::size_t num_lanes) {
   if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.workers);
-  while (copiers_.size() < num_links) {
-    copy_scratch_.push_back(std::make_unique<std::vector<std::byte>>());
-    copiers_.push_back(std::make_unique<CopyEngine>());
-  }
+  while (copiers_.size() < num_links) copiers_.push_back(std::make_unique<CopyEngine>());
   while (gpu_lanes_.size() < num_lanes)
     gpu_lanes_.push_back(std::make_unique<CopyEngine>());
 }
@@ -151,15 +163,9 @@ void HybridExecutor::pace_dense(double modeled_seconds) {
                     (paced_ ? options_.time_scale : 1.0);
 }
 
-void HybridExecutor::copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch) {
-  const auto blob = store_.transfer_blob(id);
-  if (scratch.size() < blob.size()) scratch.resize(blob.size());
-  std::memcpy(scratch.data(), blob.data(), blob.size());
-}
-
 void HybridExecutor::run_cpu_chain(const std::shared_ptr<LayerBoard>& board,
                                    std::size_t pos) {
-  const LayerBoard::CpuTask& task = board->cpu[pos];
+  const LayerBoard::LaneTask& task = board->cpu[pos];
   const auto t0 = PaceClock::now();
   // Completion must be published even if the kernel throws — the engine
   // thread is (or will be) blocked on cpu_remaining, and the error is
@@ -224,33 +230,26 @@ LayerResult HybridExecutor::execute_layer_reference(const sched::LayerPlan& plan
 }
 
 void HybridExecutor::run_gpu_lane(const std::shared_ptr<LayerBoard>& board,
-                                  std::vector<std::size_t> order,
-                                  double dense_seconds) {
-  const auto& tasks = board->plan->tasks;
-  const double scale = options_.time_scale;
+                                  std::size_t accel) {
   // Publish lane completion even if a kernel throws — the engine thread is
   // blocked on lanes_remaining; the error surfaces at the lane's
   // rethrow_pending_error (end_step).
   std::exception_ptr error;
-  if (paced_) {
-    const auto t0 = PaceClock::now();
-    sleep_until_paced(t0 + scaled_duration(dense_seconds, scale));
-  }
-  for (const std::size_t i : order) {
-    if (tasks[i].transferred) {
+  if (paced_) sleep_until_paced(PaceClock::now() + board->dense);
+  for (const LayerBoard::LaneTask& task : board->accel[accel]) {
+    if (task.gated) {
       std::unique_lock lock(board->m);
-      board->cv.wait(lock, [&board, i] { return board->done[i] != 0; });
+      board->cv.wait(lock, [&board, &task] { return board->done[task.idx] != 0; });
     }
     const auto t0 = PaceClock::now();
     if (board->compute && !error) {
       try {
-        board->slots[i] = store_.forward(tasks[i].expert, board->input);
+        board->slots[task.idx] = store_.forward(task.id, board->input);
       } catch (...) {
         error = std::current_exception();
       }
     }
-    if (paced_)
-      sleep_until_paced(t0 + scaled_duration(tasks[i].end - tasks[i].start, scale));
+    if (paced_) sleep_until_paced(t0 + task.dur);
   }
   {
     std::lock_guard lock(board->m);
@@ -287,14 +286,13 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   auto board = std::make_shared<LayerBoard>();
   board->done.assign(tasks.size(), 0);
   board->slots.resize(tasks.size());
-  board->plan = &plan;
   board->input = store_.layer_input(plan.layer);
   board->compute = options_.compute_experts;
-  for (const std::size_t i : plan.device_order(sched::kCpuDevice))
-    board->cpu.push_back({i, tasks[i].expert,
-                          scaled_duration(tasks[i].end - tasks[i].start, scale)});
+  board->cpu = LayerBoard::lane(plan, sched::kCpuDevice, scale);
   board->cpu_remaining = board->cpu.size();
-  const auto gpu_order = plan.device_order(sched::kGpuDevice);
+  for (std::size_t accel = 0; accel < num_links; ++accel)
+    board->accel.push_back(LayerBoard::lane(plan, sched::accelerator_device(accel), scale));
+  board->dense = scaled_duration(plan.gpu_offset, scale);
 
   const auto layer_start = PaceClock::now();
 
@@ -307,49 +305,25 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   // ---- Link lanes: each link's on-demand transfers in per-link plan order,
   // then the engine's speculative uploads routed to it. FIFO on each copy
   // thread reproduces the modeled serially-occupied links, including carry
-  // into later layers.
+  // into later layers. A transfer stands for a DMA: it moves no host bytes,
+  // so a job only paces to its modeled duration and publishes completion.
   for (std::size_t link = 0; link < num_links; ++link) {
     for (const std::size_t i :
          plan.transfer_order(sched::accelerator_device(link))) {
       const auto dur =
           scaled_duration(tasks[i].transfer_end - tasks[i].transfer_start, scale);
-      // The scratch pointer is resolved here, on the engine thread: the
-      // copier thread must never index copy_scratch_ itself — a later
-      // ensure_started (higher device count) may reallocate the outer
-      // vector while copies are still in flight. The pointee is stable.
-      copiers_[link]->submit(
-          [this, board, idx = i, id = tasks[i].expert, dur,
-           scratch = copy_scratch_[link].get()] {
-            const auto t0 = PaceClock::now();
-            // Publish completion even if the copy throws — a GPU lane blocks
-            // on done[idx]; the error surfaces via rethrow_pending_error at
-            // step end.
-            std::exception_ptr error;
-            if (options_.copy_weight_blobs) {
-              try {
-                copy_blob(id, *scratch);
-              } catch (...) {
-                error = std::current_exception();
-              }
-            }
-            if (paced_) sleep_until_paced(t0 + dur);
-            {
-              std::lock_guard lock(board->m);
-              board->done[idx] = 1;
-              board->cv.notify_all();
-            }
-            if (error) std::rethrow_exception(error);  // recorded by the loop
-          });
+      copiers_[link]->submit([this, board, idx = i, dur] {
+        if (paced_) sleep_until_paced(PaceClock::now() + dur);
+        std::lock_guard lock(board->m);
+        board->done[idx] = 1;
+        board->cv.notify_all();
+      });
     }
   }
   for (const AsyncCopy& c : async_copies) {
-    const auto dur = scaled_duration(c.seconds, scale);
-    copiers_[c.link]->submit(
-        [this, id = c.id, dur, scratch = copy_scratch_[c.link].get()] {
-          const auto t0 = PaceClock::now();
-          if (options_.copy_weight_blobs) copy_blob(id, *scratch);
-          if (paced_) sleep_until_paced(t0 + dur);
-        });
+    copiers_[c.link]->submit([this, dur = scaled_duration(c.seconds, scale)] {
+      if (paced_) sleep_until_paced(PaceClock::now() + dur);
+    });
   }
 
   // ---- CPU lane: chained through the worker pool in plan start order (the
@@ -361,34 +335,25 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   // ---- Extra accelerator lanes (devices 2..N): each on its dedicated
   // thread — dense head, then that device's tasks gated on their transfers.
   for (std::size_t accel = 1; accel < num_links; ++accel) {
-    auto order = plan.device_order(sched::accelerator_device(accel));
-    if (order.empty()) continue;
+    if (board->accel[accel].empty()) continue;
     {
       std::lock_guard lock(board->m);
       ++board->lanes_remaining;
     }
-    gpu_lanes_[accel - 1]->submit(
-        [this, board, order = std::move(order), dense = plan.gpu_offset]() mutable {
-          run_gpu_lane(board, std::move(order), dense);
-        });
+    gpu_lanes_[accel - 1]->submit([this, board, accel] { run_gpu_lane(board, accel); });
   }
 
   // ---- Primary GPU lane (this thread): dense head, then accelerator 0's
   // routed experts in plan order, each gated on its transfer completion.
-  if (paced_) {
-    const auto t0 = PaceClock::now();
-    sleep_until_paced(t0 + scaled_duration(plan.gpu_offset, scale));
-  }
-  for (const std::size_t i : gpu_order) {
-    if (tasks[i].transferred) {
+  if (paced_) sleep_until_paced(PaceClock::now() + board->dense);
+  for (const LayerBoard::LaneTask& task : board->accel[0]) {
+    if (task.gated) {
       std::unique_lock lock(board->m);
-      board->cv.wait(lock, [&board, i] { return board->done[i] != 0; });
+      board->cv.wait(lock, [&board, &task] { return board->done[task.idx] != 0; });
     }
     const auto t0 = PaceClock::now();
-    if (options_.compute_experts)
-      board->slots[i] = store_.forward(tasks[i].expert, board->input);
-    if (paced_)
-      sleep_until_paced(t0 + scaled_duration(tasks[i].end - tasks[i].start, scale));
+    if (board->compute) board->slots[task.idx] = store_.forward(task.id, board->input);
+    if (paced_) sleep_until_paced(t0 + task.dur);
   }
 
   // ---- Barrier: the layer is done when every compute task has finished on
@@ -416,17 +381,12 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
 double HybridExecutor::calibrate_time_scale(const hw::CostModel& costs, double safety) {
   HYBRIMOE_REQUIRE(!in_step_, "calibrate_time_scale inside a step");
   HYBRIMOE_REQUIRE(safety >= 1.0, "safety factor must be >= 1");
-  // Scratch buffers are about to be touched from this thread.
-  for (const auto& copier : copiers_) copier->drain();
 
   const moe::ExpertId probe{0, 0};
   const auto input = store_.layer_input(0);
-  std::vector<std::byte> probe_scratch;
   double real = 0.0;
   if (options_.compute_experts)
-    real = std::max(real, hw::time_callable([&] { (void)store_.forward(probe, input); }));
-  if (options_.copy_weight_blobs)
-    real = std::max(real, hw::time_callable([&] { copy_blob(probe, probe_scratch); }));
+    real = hw::time_callable([&] { (void)store_.forward(probe, input); });
   // Sleep overshoot: how late a paced task typically wakes.
   static constexpr auto kProbeSleep = std::chrono::microseconds(200);
   reduce_timer_slack();

@@ -4,7 +4,9 @@
 /// The real threaded execution backend: takes the same sched::LayerPlan the
 /// discrete-event simulator consumes and actually dispatches it — CPU expert
 /// tasks to a work-stealing ThreadPool, transfers to one asynchronous
-/// CopyEngine thread *per host link*, primary-GPU-lane work (dense phase +
+/// CopyEngine thread *per host link* (a transfer stands for a DMA: its job
+/// moves no host bytes, it paces and publishes completion), primary-GPU-lane
+/// work (dense phase +
 /// routed experts of accelerator 0) to the calling engine thread, and each
 /// further accelerator's lane to its own dedicated thread — honoring the
 /// plan's dependencies: an uncached accelerator expert cannot start before
@@ -22,7 +24,7 @@
 /// for exactly this) — while remaining robust on small CI hosts. An unpaced
 /// step (ExecutionMode::Performance) keeps the identical lowering and
 /// dependency structure but drops every sleep, so the measured window is
-/// real kernel/copy time. Layer outputs are reduced in a fixed
+/// real kernel time plus the lanes' hand-offs. Layer outputs are reduced in a fixed
 /// deterministic order, so threaded execution is bitwise-identical to the
 /// single-threaded reference at any worker count, paced or not.
 ///
@@ -80,11 +82,8 @@ struct ExecOptions {
   /// Run real expert FFN kernels and produce layer outputs/digests. When
   /// false the backend paces timing only.
   bool compute_experts = true;
-  /// memcpy the expert's weight blob into the device staging buffer on every
-  /// transfer (real PCIe traffic stand-in). Pacing applies either way.
-  bool copy_weight_blobs = true;
-  /// Run experts at Q4 precision: quantized kernels on the hot path and Q4
-  /// transfer blobs (~6x smaller than fp32 at the default geometry).
+  /// Run experts at Q4 precision: quantized kernels on the hot path, reading
+  /// ~6x fewer weight bytes per forward than fp32 at the default geometry.
   /// Outputs/digests stay deterministic but differ from fp32 runs.
   bool quantized_experts = false;
   /// Functional expert geometry (decoupled from the cost model's Table II
@@ -194,7 +193,7 @@ class HybridExecutor {
   /// only — the engine's step loop invokes this from its unwind path.
   void abort_step() noexcept;
 
-  /// Measure this host's real kernel/copy/sleep-wakeup times (via
+  /// Measure this host's real kernel and sleep-wakeup times (via
   /// hw::time_callable) and return the smallest time_scale at which the
   /// fastest modeled task of `costs` still comfortably covers them
   /// (`safety` x). Feed the result (or any larger scale, e.g. one chosen
@@ -209,6 +208,7 @@ class HybridExecutor {
   /// Copy jobs completed on link `link` so far (monotonic; 0 for a link that
   /// never started). Every expert upload the engine accounts — on-demand,
   /// prefetch or maintenance — is exactly one copy job on its target link,
+  /// paced or not,
   /// so these totals are the execution-side witness the trace subsystem's
   /// conservation checks compare per-step transfer records against. Call
   /// between steps (end_step drains the copiers).
@@ -223,24 +223,17 @@ class HybridExecutor {
   void ensure_started(std::size_t num_links, std::size_t num_lanes);
   /// Run CPU-lane task `pos` of the board, then chain-submit `pos` + 1.
   void run_cpu_chain(const std::shared_ptr<LayerBoard>& board, std::size_t pos);
-  /// Run one extra accelerator's whole lane (device index >= 1) on its
+  /// Run extra accelerator `accel`'s whole lane (accel >= 1) on its
   /// dedicated thread: dense head, then its tasks gated on their transfers.
-  void run_gpu_lane(const std::shared_ptr<LayerBoard>& board,
-                    std::vector<std::size_t> order, double dense_seconds);
-  /// memcpy one expert's serialized transfer blob (fp32 or Q4, pre-built in
-  /// the store's arena) into `scratch` (one reusable buffer per link).
-  void copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch);
+  void run_gpu_lane(const std::shared_ptr<LayerBoard>& board, std::size_t accel);
   /// Deterministic load-weighted reduction of per-task outputs, then digest.
   [[nodiscard]] std::vector<float> combine_and_digest(
       const sched::LayerPlan& plan, std::vector<std::vector<float>>& slots);
 
   ExecOptions options_;
   ExpertStore store_;
-  /// Per-link device staging buffers (reused across every transfer of a
-  /// link's lifetime); entry i is touched by copier i only.
-  std::vector<std::unique_ptr<std::vector<std::byte>>> copy_scratch_;
   // Declaration order is load-bearing: the copy/lane threads and worker pool
-  // are destroyed (joined) before the store/scratch their tasks reference.
+  // are destroyed (joined) before the store their tasks reference.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<CopyEngine>> copiers_;   ///< one per link
   std::vector<std::unique_ptr<CopyEngine>> gpu_lanes_; ///< accel 1.. lanes

@@ -11,10 +11,11 @@
 /// shapes while kernels run at small dimensions that finish in microseconds.
 ///
 /// A store can run experts at fp32 (default) or Q4 precision. In either
-/// case the per-expert transfer payload — the bytes a CopyEngine ships per
-/// simulated PCIe transfer — is serialized once into an arena owned by the
-/// store, so the step loop never allocates for weights; Q4 payloads are
-/// ~6x smaller than fp32 at the default geometry.
+/// case each expert's transfer blob — the serialized weights one simulated
+/// PCIe transfer stands for — is built once into an arena owned by the
+/// store; Q4 blobs are ~6x smaller than fp32 at the default geometry. The
+/// executor's copy jobs move no bytes and never read a blob: the blob is
+/// for callers that account or inspect transfer bytes.
 ///
 /// Thread-safety: fully internally synchronized (shared_mutex). Lookups
 /// take a shared lock; first touch of an expert materializes it under the
@@ -52,17 +53,20 @@ class ExpertStore {
   [[nodiscard]] std::size_t d_ff() const noexcept { return d_ff_; }
   /// \brief True when experts run (and ship) at Q4 precision.
   [[nodiscard]] bool quantized() const noexcept { return quantized_; }
-  /// Bytes of one expert's transfer blob (the payload the copy engine moves
-  /// per transfer): the three fp32 projection matrices, or their Q4 blocks
-  /// when the store is quantized.
+  /// Bytes of one expert's transfer blob (the serialized weights one
+  /// transfer stands for): the three fp32 projection matrices, or their Q4
+  /// blocks when the store is quantized.
   [[nodiscard]] std::size_t expert_bytes() const noexcept;
 
-  /// Dense weights of `id`, materializing the expert on first touch.
-  /// Thread-safe; the returned reference is stable and immutable.
+  /// Dense weights of `id` (what fp32 forwards read), materializing the
+  /// expert on first touch. Thread-safe; the returned reference is stable
+  /// and immutable.
   [[nodiscard]] const kernels::ExpertWeights& weights(moe::ExpertId id);
 
-  /// Serialized transfer payload of `id` (size expert_bytes()), arena-backed
-  /// and materialized on first touch. Thread-safe; stable and immutable.
+  /// Transfer blob of `id`: the serialized weights one transfer stands for
+  /// (size expert_bytes(); fp32 layout gate | up | down as in
+  /// ExpertWeights::copy_blob_to), arena-backed and materialized on first
+  /// touch. Thread-safe; stable and immutable.
   [[nodiscard]] std::span<const std::byte> transfer_blob(moe::ExpertId id);
 
   /// Forward pass of expert `id` on `x` at the store's precision, reusing

@@ -42,8 +42,8 @@ struct ExpertWeights {
 
   /// Serialize the three projections (gate, up, down — row-major,
   /// concatenated) into `dst`, which must hold at least blob_floats()
-  /// values. This is the weight blob the execution backend's copy engine
-  /// moves per simulated PCIe transfer. Returns the floats written.
+  /// values: the serialized weights one simulated PCIe transfer stands for
+  /// (exec::ExpertStore::transfer_blob). Returns the floats written.
   std::size_t copy_blob_to(std::span<float> dst) const;
 };
 

@@ -130,6 +130,39 @@ TEST(MultiDeviceExecutor, AsyncCopiesRouteToTheirLinks) {
   EXPECT_EQ(step.layers, 1u);
 }
 
+TEST(MultiDeviceExecutor, UnpacedLinkLanesCountEveryTransfer) {
+  // A transfer moves no host bytes, but each one is still a job on its
+  // link's lane: on-demand transfers in transfer_order, then the async
+  // copies routed to that link, every one counted and none lost unpaced.
+  const auto costs = multi_costs(2);
+  const auto demands = lane_demands(2);
+  const auto plan = sched::simulate_layer(0, Stage::Decode, demands, costs);
+  ASSERT_TRUE(sched::validate_plan(plan, demands).empty());
+  ASSERT_EQ(plan.num_accel_devices(), 2u);
+  const std::vector<AsyncCopy> copies{{.id = {1, 0}, .link = 0, .seconds = 1.0},
+                                      {.id = {1, 1}, .link = 1, .seconds = 1.0},
+                                      {.id = {1, 2}, .link = 1, .seconds = 1.0}};
+  const std::size_t async_on_link[2] = {1, 2};
+
+  HybridExecutor reference(fast_options(1));
+  reference.begin_step();
+  (void)reference.execute_layer_reference(plan);
+  const auto ref = reference.end_step();
+
+  HybridExecutor executor(fast_options(2));
+  executor.begin_step(/*paced=*/false);
+  (void)executor.execute_layer(plan, 0.0, copies);
+  const auto step = executor.end_step();
+  EXPECT_EQ(step.digest, ref.digest);
+  ASSERT_EQ(executor.num_links(), 2u);
+  for (std::size_t link = 0; link < 2; ++link) {
+    const auto on_demand = plan.transfer_order(sched::accelerator_device(link)).size();
+    ASSERT_GT(on_demand, 0u) << "link " << link << " has no on-demand transfer";
+    EXPECT_EQ(executor.link_transfers_completed(link), on_demand + async_on_link[link])
+        << "link " << link;
+  }
+}
+
 TEST(MultiDeviceExecutor, RepeatedLayersStayDeterministic) {
   const auto costs = multi_costs(3);
   const auto demands = lane_demands(3);

@@ -24,8 +24,31 @@
 #
 # Usage: tools/check_docs.sh        (from the repository root)
 # Exits non-zero listing undocumented declarations / broken links.
+#
+# Counts mode: tools/check_docs.sh --counts BUILD_DIR  (after a build)
+# compares README's "N test binaries, M cases" with the build: M is ctest's
+# "Total Tests" and N the number of distinct executables ctest runs.
 
 set -eu
+
+if [ "${1:-}" = "--counts" ]; then
+  build=${2:?usage: tools/check_docs.sh --counts BUILD_DIR}
+  listing=$(ctest --test-dir "$build" -N -V)
+  cases=$(printf '%s
+' "$listing" | sed -n 's/^Total Tests: *//p')
+  binaries=$(printf '%s
+' "$listing" |
+             sed -n 's/^[0-9]*: Test command: \([^ ]*\).*/\1/p' | sort -u | wc -l |
+             tr -d ' ')
+  claim=$(grep -o '[0-9]* test binaries, [0-9]* cases' README.md || true)
+  built="$binaries test binaries, $cases cases"
+  if [ "$claim" != "$built" ]; then
+    echo "FAIL: README.md says '$claim'; the build in $build has '$built'."
+    exit 1
+  fi
+  echo "OK: README.md test counts match the build ($built)."
+  exit 0
+fi
 
 fail=0
 

@@ -122,7 +122,7 @@ void HybridExecutor::abort_step() noexcept {
   if (!in_step_) return;
   in_step_ = false;
   // Quiesce: every dispatched task publishes its completion even on error
-  // (see run_cpu_chain / the transfer jobs), so these waits terminate.
+  // (see run_cpu_lane / the transfer jobs), so these waits terminate.
   try {
     if (pool_) pool_->wait_idle();
     for (const auto& lane : gpu_lanes_) lane->drain();
@@ -163,31 +163,28 @@ void HybridExecutor::pace_dense(double modeled_seconds) {
                     (paced_ ? options_.time_scale : 1.0);
 }
 
-void HybridExecutor::run_cpu_chain(const std::shared_ptr<LayerBoard>& board,
-                                   std::size_t pos) {
-  const LayerBoard::LaneTask& task = board->cpu[pos];
-  const auto t0 = PaceClock::now();
-  // Completion must be published even if the kernel throws — the engine
-  // thread is (or will be) blocked on cpu_remaining, and the error is
-  // surfaced via ThreadPool::rethrow_pending_error at the layer barrier.
+void HybridExecutor::run_cpu_lane(const std::shared_ptr<LayerBoard>& board) {
+  // Each task's completion is published even if a kernel throws — the
+  // engine thread is (or will be) blocked on cpu_remaining — and the first
+  // error is rethrown once the whole lane has published; the worker loop
+  // records it for ThreadPool::rethrow_pending_error at the layer barrier.
   std::exception_ptr error;
-  if (board->compute) {
-    try {
-      board->slots[task.idx] = store_.forward(task.id, board->input);
-    } catch (...) {
-      error = std::current_exception();
+  for (const LayerBoard::LaneTask& task : board->cpu) {
+    const auto t0 = PaceClock::now();
+    if (board->compute && !error) {
+      try {
+        board->slots[task.idx] = store_.forward(task.id, board->input);
+      } catch (...) {
+        error = std::current_exception();
+      }
     }
-  }
-  if (paced_) sleep_until_paced(t0 + task.dur);
-  {
+    if (paced_) sleep_until_paced(t0 + task.dur);
     std::lock_guard lock(board->m);
     board->done[task.idx] = 1;
     --board->cpu_remaining;
     board->cv.notify_all();
   }
-  if (pos + 1 < board->cpu.size())
-    pool_->submit([this, board, next = pos + 1] { run_cpu_chain(board, next); });
-  if (error) std::rethrow_exception(error);  // recorded by the worker loop
+  if (error) std::rethrow_exception(error);
 }
 
 std::vector<float> HybridExecutor::combine_and_digest(
@@ -278,10 +275,10 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   const double scale = options_.time_scale;
   const auto& tasks = plan.tasks;
 
-  // Materialize weights on the engine thread up front: workers then hit the
+  // Materialize payloads on the engine thread up front: workers then hit the
   // store's shared-lock fast path only.
   if (options_.compute_experts)
-    for (const auto& t : tasks) (void)store_.weights(t.expert);
+    for (const auto& t : tasks) (void)store_.transfer_blob(t.expert);
 
   auto board = std::make_shared<LayerBoard>();
   board->done.assign(tasks.size(), 0);
@@ -326,11 +323,9 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
     });
   }
 
-  // ---- CPU lane: chained through the worker pool in plan start order (the
-  // modeled CPU expert pool is one serially-occupied resource; the chain
-  // hops across workers via round-robin dispatch and stealing).
-  if (!board->cpu.empty())
-    pool_->submit([this, board] { run_cpu_chain(board, 0); });
+  // ---- CPU lane: one pool task runs the layer's CPU experts in plan start
+  // order (the modeled CPU expert pool is one serially-occupied resource).
+  if (!board->cpu.empty()) pool_->submit([this, board] { run_cpu_lane(board); });
 
   // ---- Extra accelerator lanes (devices 2..N): each on its dedicated
   // thread — dense head, then that device's tasks gated on their transfers.

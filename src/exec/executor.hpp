@@ -2,12 +2,12 @@
 
 /// \file executor.hpp
 /// The real threaded execution backend: takes the same sched::LayerPlan the
-/// discrete-event simulator consumes and actually dispatches it — CPU expert
-/// tasks to a work-stealing ThreadPool, transfers to one asynchronous
-/// CopyEngine thread *per host link* (a transfer stands for a DMA: its job
-/// moves no host bytes, it paces and publishes completion), primary-GPU-lane
-/// work (dense phase +
-/// routed experts of accelerator 0) to the calling engine thread, and each
+/// discrete-event simulator consumes and actually dispatches it — the CPU
+/// expert lane (one pool task per layer) to a work-stealing ThreadPool,
+/// transfers to one asynchronous CopyEngine thread *per host link* (a
+/// transfer stands for a DMA: its job moves no host bytes, it paces and
+/// publishes completion), primary-GPU-lane work (dense phase + routed
+/// experts of accelerator 0) to the calling engine thread, and each
 /// further accelerator's lane to its own dedicated thread — honoring the
 /// plan's dependencies: an uncached accelerator expert cannot start before
 /// its transfer completes, and each resource lane is serially occupied in
@@ -163,7 +163,7 @@ class HybridExecutor {
   /// that link's copy thread (in per-link transfer_order, followed by the
   /// `async_copies` routed to it — speculative uploads that are *not* waited
   /// on and spill into subsequent layers exactly like the modeled per-link
-  /// carry), chains CPU tasks through the worker pool, runs the dense head
+  /// carry), runs the CPU lane as one worker-pool task, runs the dense head
   /// (`overhead` + plan.gpu_offset) and accelerator 0's tasks on the calling
   /// thread, runs every further accelerator's lane on its dedicated thread,
   /// and returns once every compute task of the plan has finished. Engine
@@ -221,8 +221,9 @@ class HybridExecutor {
   /// Lazily spawn the worker pool plus one copy thread per link and one lane
   /// thread per extra accelerator (num_links >= 1, num_lanes >= 0).
   void ensure_started(std::size_t num_links, std::size_t num_lanes);
-  /// Run CPU-lane task `pos` of the board, then chain-submit `pos` + 1.
-  void run_cpu_chain(const std::shared_ptr<LayerBoard>& board, std::size_t pos);
+  /// Run the board's whole CPU lane (one pool task per layer): each task's
+  /// forward and pacing, publishing each completion as it finishes.
+  void run_cpu_lane(const std::shared_ptr<LayerBoard>& board);
   /// Run extra accelerator `accel`'s whole lane (accel >= 1) on its
   /// dedicated thread: dense head, then its tasks gated on their transfers.
   void run_gpu_lane(const std::shared_ptr<LayerBoard>& board, std::size_t accel);

@@ -10,23 +10,34 @@
 /// decoupled from the cost model's: scheduling charges the paper's Table II
 /// shapes while kernels run at small dimensions that finish in microseconds.
 ///
-/// A store can run experts at fp32 (default) or Q4 precision. In either
-/// case each expert's transfer blob — the serialized weights one simulated
-/// PCIe transfer stands for — is built once into an arena owned by the
-/// store; Q4 blobs are ~6x smaller than fp32 at the default geometry. The
-/// executor's copy jobs move no bytes and never read a blob: the blob is
-/// for callers that account or inspect transfer bytes.
+/// One payload per expert. A store runs experts at fp32 (default) or Q4
+/// precision and keeps each expert exactly once, as its payload: the three
+/// projections gate | up | down, row-major, as fp32 values or as Q4 blocks
+/// (~6x smaller at the default geometry). The payload is at once what every
+/// forward reads in place (through kernels::ExpertView / Q4ExpertView) and
+/// the transfer blob — the serialized weights one simulated PCIe transfer
+/// stands for (the executor's copy jobs move no bytes and never read it).
+/// fp32 values are bit-identical to kernels::ExpertWeights::random on the
+/// expert's seed; Q4 blocks to kernels::QuantizedExpert of those weights.
+///
+/// The arena. Payloads are carved at 64-byte alignment from chunks that are
+/// 2 MiB-aligned and whole multiples of 2 MiB, mapped lazily (untouched
+/// pages cost no memory) and advised MADV_HUGEPAGE before first touch, so
+/// on hosts with transparent huge pages the weight stream of a forward
+/// walks few TLB entries. The advice is best effort: without huge pages the
+/// arena is ordinary 4 KiB memory with identical contents. The first chunk
+/// is 2 MiB and each next one doubles up to 64 MiB, so a tiny store maps
+/// one huge page, not a large up-front reservation.
 ///
 /// Thread-safety: fully internally synchronized (shared_mutex). Lookups
 /// take a shared lock; first touch of an expert materializes it under the
-/// exclusive lock. Returned references/spans stay valid and immutable for
-/// the store's lifetime (node-based map, arena chunks never move, weights
-/// never mutated after creation), so workers may read them lock-free after
-/// the accessor returns.
+/// exclusive lock. Returned views/spans stay valid and immutable for the
+/// store's lifetime (arena chunks never move, payloads are never mutated
+/// after creation), so workers may read them lock-free after the accessor
+/// returns.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
@@ -37,13 +48,13 @@
 
 namespace hybrimoe::exec {
 
-/// Lazily-materialized (expert id -> weights) map plus per-layer inputs.
+/// Lazily-materialized (expert id -> payload) map plus per-layer inputs.
 class ExpertStore {
  public:
   /// `d_model`/`d_ff`: functional expert geometry (both > 0); `seed` drives
-  /// every weight and input value; `quantized` selects Q4 expert math and
-  /// Q4 transfer blobs (weights are generated at fp32 first, so the dense
-  /// weights are bitwise-identical across precisions for a given seed).
+  /// every weight and input value; `quantized` selects Q4 payloads and Q4
+  /// expert math (the blocks quantize the fp32 weights the same seed gives
+  /// an fp32 store).
   ExpertStore(std::size_t d_model, std::size_t d_ff, std::uint64_t seed,
               bool quantized = false);
 
@@ -53,20 +64,20 @@ class ExpertStore {
   [[nodiscard]] std::size_t d_ff() const noexcept { return d_ff_; }
   /// \brief True when experts run (and ship) at Q4 precision.
   [[nodiscard]] bool quantized() const noexcept { return quantized_; }
-  /// Bytes of one expert's transfer blob (the serialized weights one
-  /// transfer stands for): the three fp32 projection matrices, or their Q4
-  /// blocks when the store is quantized.
+  /// Bytes of one expert's payload (= its transfer blob): the three fp32
+  /// projection matrices, or their Q4 blocks when the store is quantized.
   [[nodiscard]] std::size_t expert_bytes() const noexcept;
 
-  /// Dense weights of `id` (what fp32 forwards read), materializing the
-  /// expert on first touch. Thread-safe; the returned reference is stable
-  /// and immutable.
-  [[nodiscard]] const kernels::ExpertWeights& weights(moe::ExpertId id);
+  /// Dense weights of `id` as a view of its payload (what fp32 forwards
+  /// read), materializing the expert on first touch. Throws
+  /// std::invalid_argument on a quantized store, which holds only Q4 blocks.
+  /// Thread-safe; the viewed weights are stable and immutable.
+  [[nodiscard]] kernels::ExpertView weights(moe::ExpertId id);
 
-  /// Transfer blob of `id`: the serialized weights one transfer stands for
-  /// (size expert_bytes(); fp32 layout gate | up | down as in
-  /// ExpertWeights::copy_blob_to), arena-backed and materialized on first
-  /// touch. Thread-safe; stable and immutable.
+  /// Payload of `id` as raw bytes — the transfer blob, the serialized
+  /// weights one transfer stands for (size expert_bytes(), layout gate | up
+  /// | down), materialized on first touch. Thread-safe; stable and
+  /// immutable.
   [[nodiscard]] std::span<const std::byte> transfer_blob(moe::ExpertId id);
 
   /// Forward pass of expert `id` on `x` at the store's precision, reusing
@@ -81,39 +92,34 @@ class ExpertStore {
   [[nodiscard]] std::size_t materialized() const;
 
  private:
-  /// Chunked bump allocator for transfer blobs: stable addresses, one
-  /// allocation per ~1 MiB of weights instead of one per expert touch.
-  class BlobArena {
+  /// Bump allocator over 2 MiB-aligned, huge-page-advised chunks (see the
+  /// file comment): stable addresses, one mapping per chunk.
+  class PayloadArena {
    public:
+    PayloadArena() = default;
+    ~PayloadArena();
+    PayloadArena(const PayloadArena&) = delete;
+    PayloadArena& operator=(const PayloadArena&) = delete;
+
     /// Carve `bytes` (64-byte aligned start) out of the current chunk,
-    /// growing by a new chunk when it does not fit. Addresses never move.
+    /// mapping a new chunk when it does not fit. Addresses never move.
     [[nodiscard]] std::span<std::byte> allocate(std::size_t bytes);
 
    private:
-    static constexpr std::size_t kChunkBytes = 1 << 20;
-    std::vector<std::unique_ptr<std::byte[]>> chunks_;
-    std::size_t used_ = 0;
-    std::size_t capacity_ = 0;
+    std::vector<std::span<std::byte>> chunks_;
+    std::size_t used_ = 0;  ///< bytes carved from chunks_.back()
   };
 
-  /// One materialized expert: dense weights, the Q4 form when quantized,
-  /// and the serialized arena-backed transfer payload.
-  struct Entry {
-    kernels::ExpertWeights weights;
-    kernels::QuantizedExpert q4;
-    std::span<const std::byte> blob;
-  };
-
-  /// Materialize-on-first-touch lookup shared by the public accessors.
-  [[nodiscard]] const Entry& entry(std::uint32_t key);
+  /// Materialize-on-first-touch payload lookup shared by the accessors.
+  [[nodiscard]] std::span<const std::byte> payload(moe::ExpertId id);
 
   std::size_t d_model_;
   std::size_t d_ff_;
   std::uint64_t seed_;
   bool quantized_;
   mutable std::shared_mutex mutex_;
-  BlobArena arena_;
-  std::unordered_map<std::uint32_t, Entry> experts_;
+  PayloadArena arena_;
+  std::unordered_map<std::uint32_t, std::span<const std::byte>> experts_;
   std::unordered_map<std::uint16_t, std::vector<float>> inputs_;
 };
 

@@ -1,10 +1,42 @@
 #include "kernels/expert.hpp"
 
-#include <cstring>
+#include <type_traits>
 
 #include "kernels/ops.hpp"
+#include "kernels/simd.hpp"
 
 namespace hybrimoe::kernels {
+
+namespace {
+
+/// y = W * x over one viewed projection of `rows` rows.
+template <class T>
+void project(std::span<const T> w, std::size_t rows, std::span<const float> x,
+             std::span<float> y) {
+  if constexpr (std::is_same_v<T, float>) {
+    simd::gemv(w, rows, x, y);
+  } else {
+    simd::q4_gemv(w, rows, x, y);
+  }
+}
+
+/// The SwiGLU forward shared by the dense and Q4 views.
+template <class T>
+std::vector<float> forward_view(const BasicExpertView<T>& w, std::span<const float> x,
+                                ForwardScratch& scratch) {
+  HYBRIMOE_REQUIRE(x.size() == w.d_model, "expert_forward dimension mismatch");
+  scratch.gate.resize(w.d_ff);
+  scratch.up.resize(w.d_ff);
+  scratch.hidden.resize(w.d_ff);
+  project(w.gate, w.d_ff, x, std::span<float>(scratch.gate));
+  project(w.up, w.d_ff, x, std::span<float>(scratch.up));
+  swiglu_combine(scratch.gate, scratch.up, scratch.hidden);
+  std::vector<float> out(w.d_model);
+  project(w.down, w.d_model, std::span<const float>(scratch.hidden), std::span<float>(out));
+  return out;
+}
+
+}  // namespace
 
 ExpertWeights ExpertWeights::random(util::Rng& rng, std::size_t d_model, std::size_t d_ff) {
   ExpertWeights w;
@@ -14,17 +46,6 @@ ExpertWeights ExpertWeights::random(util::Rng& rng, std::size_t d_model, std::si
   return w;
 }
 
-std::size_t ExpertWeights::copy_blob_to(std::span<float> dst) const {
-  const std::size_t floats = blob_floats();
-  HYBRIMOE_REQUIRE(dst.size() >= floats, "blob destination too small");
-  float* out = dst.data();
-  for (const Tensor* t : {&gate, &up, &down}) {
-    std::memcpy(out, t->flat().data(), t->size() * sizeof(float));
-    out += t->size();
-  }
-  return floats;
-}
-
 std::vector<float> expert_forward(const ExpertWeights& w, std::span<const float> x) {
   ForwardScratch scratch;
   return expert_forward(w, x, scratch);
@@ -32,16 +53,17 @@ std::vector<float> expert_forward(const ExpertWeights& w, std::span<const float>
 
 std::vector<float> expert_forward(const ExpertWeights& w, std::span<const float> x,
                                   ForwardScratch& scratch) {
-  HYBRIMOE_REQUIRE(x.size() == w.d_model(), "expert_forward dimension mismatch");
-  scratch.gate.resize(w.d_ff());
-  scratch.up.resize(w.d_ff());
-  scratch.hidden.resize(w.d_ff());
-  gemv_into(w.gate, x, scratch.gate);
-  gemv_into(w.up, x, scratch.up);
-  swiglu_combine(scratch.gate, scratch.up, scratch.hidden);
-  std::vector<float> out(w.d_model());
-  gemv_into(w.down, scratch.hidden, out);
-  return out;
+  return expert_forward(w.view(), x, scratch);
+}
+
+std::vector<float> expert_forward(const ExpertView& w, std::span<const float> x,
+                                  ForwardScratch& scratch) {
+  return forward_view(w, x, scratch);
+}
+
+std::vector<float> expert_forward(const Q4ExpertView& w, std::span<const float> x,
+                                  ForwardScratch& scratch) {
+  return forward_view(w, x, scratch);
 }
 
 QuantizedExpert::QuantizedExpert(const ExpertWeights& dense)
@@ -56,16 +78,7 @@ std::vector<float> QuantizedExpert::forward(std::span<const float> x) const {
 
 std::vector<float> QuantizedExpert::forward(std::span<const float> x,
                                             ForwardScratch& scratch) const {
-  HYBRIMOE_REQUIRE(x.size() == d_model(), "QuantizedExpert::forward dimension mismatch");
-  scratch.gate.resize(d_ff());
-  scratch.up.resize(d_ff());
-  scratch.hidden.resize(d_ff());
-  gate_.gemv_into(x, scratch.gate);
-  up_.gemv_into(x, scratch.up);
-  swiglu_combine(scratch.gate, scratch.up, scratch.hidden);
-  std::vector<float> out(d_model());
-  down_.gemv_into(scratch.hidden, out);
-  return out;
+  return expert_forward(view(), x, scratch);
 }
 
 }  // namespace hybrimoe::kernels

@@ -9,6 +9,7 @@
 ///
 /// which is the expert structure of Mixtral, Qwen2 and DeepSeek alike.
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,22 @@
 #include "kernels/tensor.hpp"
 
 namespace hybrimoe::kernels {
+
+/// Non-owning view of one expert's three projections, each row-major:
+/// gate and up are [d_ff x d_model], down is [d_model x d_ff]. `T` is float
+/// (ExpertView: dense values) or Q4Block (Q4ExpertView: every row padded to
+/// whole blocks). Forwards read the viewed weights in place, so the storage
+/// must outlive the view.
+template <class T>
+struct BasicExpertView {
+  std::span<const T> gate;
+  std::span<const T> up;
+  std::span<const T> down;
+  std::size_t d_model = 0;
+  std::size_t d_ff = 0;
+};
+using ExpertView = BasicExpertView<float>;
+using Q4ExpertView = BasicExpertView<Q4Block>;
 
 /// Dense expert weights: gate/up are [d_ff x d_model], down is [d_model x d_ff].
 struct ExpertWeights {
@@ -35,16 +52,10 @@ struct ExpertWeights {
     return (gate.size() + up.size() + down.size()) * sizeof(float);
   }
 
-  /// Total float count of the three projections (the transfer blob size).
-  [[nodiscard]] std::size_t blob_floats() const noexcept {
-    return gate.size() + up.size() + down.size();
+  /// The three projections as a view (valid while this object lives).
+  [[nodiscard]] ExpertView view() const noexcept {
+    return {gate.flat(), up.flat(), down.flat(), d_model(), d_ff()};
   }
-
-  /// Serialize the three projections (gate, up, down — row-major,
-  /// concatenated) into `dst`, which must hold at least blob_floats()
-  /// values: the serialized weights one simulated PCIe transfer stands for
-  /// (exec::ExpertStore::transfer_blob). Returns the floats written.
-  std::size_t copy_blob_to(std::span<float> dst) const;
 };
 
 /// Reusable intermediate buffers for expert forward passes. A caller that
@@ -60,8 +71,19 @@ struct ForwardScratch {
 [[nodiscard]] std::vector<float> expert_forward(const ExpertWeights& w,
                                                 std::span<const float> x);
 
-/// Forward pass through a dense expert reusing `scratch` for intermediates.
+/// Forward pass through a dense expert reusing `scratch` for intermediates
+/// (delegates to the ExpertView form).
 [[nodiscard]] std::vector<float> expert_forward(const ExpertWeights& w,
+                                                std::span<const float> x,
+                                                ForwardScratch& scratch);
+
+/// Forward pass over dense weights read in place through simd::gemv.
+[[nodiscard]] std::vector<float> expert_forward(const ExpertView& w,
+                                                std::span<const float> x,
+                                                ForwardScratch& scratch);
+
+/// Forward pass over Q4 blocks read in place through simd::q4_gemv.
+[[nodiscard]] std::vector<float> expert_forward(const Q4ExpertView& w,
                                                 std::span<const float> x,
                                                 ForwardScratch& scratch);
 
@@ -73,9 +95,15 @@ class QuantizedExpert {
 
   [[nodiscard]] std::vector<float> forward(std::span<const float> x) const;
 
-  /// Forward pass reusing `scratch` for intermediates.
+  /// Forward pass reusing `scratch` for intermediates (delegates to the
+  /// Q4ExpertView form).
   [[nodiscard]] std::vector<float> forward(std::span<const float> x,
                                            ForwardScratch& scratch) const;
+
+  /// The three quantized projections as a view (valid while this object lives).
+  [[nodiscard]] Q4ExpertView view() const noexcept {
+    return {gate_.blocks(), up_.blocks(), down_.blocks(), d_model(), d_ff()};
+  }
 
   [[nodiscard]] std::size_t storage_bytes() const noexcept {
     return gate_.storage_bytes() + up_.storage_bytes() + down_.storage_bytes();

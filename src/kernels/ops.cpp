@@ -11,9 +11,13 @@ namespace hybrimoe::kernels {
 
 Tensor Tensor::randn(util::Rng& rng, std::size_t rows, std::size_t cols, double stddev) {
   Tensor t(rows, cols);
-  const double scale = stddev > 0.0 ? stddev : 1.0 / std::sqrt(static_cast<double>(cols));
-  for (float& v : t.flat()) v = static_cast<float>(rng.gaussian(0.0, scale));
+  fill_randn(rng, t.flat(), cols, stddev);
   return t;
+}
+
+void fill_randn(util::Rng& rng, std::span<float> out, std::size_t cols, double stddev) {
+  const double scale = stddev > 0.0 ? stddev : 1.0 / std::sqrt(static_cast<double>(cols));
+  for (float& v : out) v = static_cast<float>(rng.gaussian(0.0, scale));
 }
 
 std::vector<float> gemv(const Tensor& w, std::span<const float> x) {

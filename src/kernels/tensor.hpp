@@ -66,4 +66,10 @@ class Tensor {
   std::vector<float> data_;
 };
 
+/// Fill row-major storage of `cols`-wide rows with the values
+/// Tensor::randn(rng, out.size() / cols, cols, stddev) holds, drawing the
+/// same stream from `rng`: for weights that live outside a Tensor.
+void fill_randn(util::Rng& rng, std::span<float> out, std::size_t cols,
+                double stddev = -1.0);
+
 }  // namespace hybrimoe::kernels

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -196,27 +195,6 @@ TEST(HybridExecutor, CalibrateTimeScaleCoversRealKernelTimes) {
   // paces to at least 4x any measured real operation: a microsecond-level
   // floor must hold even on fast hosts.
   EXPECT_GE(scale * 1.0, 4e-6);
-}
-
-TEST(ExpertStore, TransferBlobIsTheSerializedWeights) {
-  // No executor code reads transfer blobs; callers that account transfer
-  // bytes rely on this layout: gate | up | down, fp32, expert_bytes() long.
-  ExpertStore store(32, 64, 7);
-  for (const moe::ExpertId id : {moe::ExpertId{0, 0}, moe::ExpertId{3, 5}}) {
-    const auto blob = store.transfer_blob(id);
-    ASSERT_EQ(blob.size(), store.expert_bytes());
-    const auto& w = store.weights(id);
-    std::vector<float> expected(w.blob_floats());
-    ASSERT_EQ(w.copy_blob_to(expected), expected.size());
-    ASSERT_EQ(blob.size(), expected.size() * sizeof(float));
-    EXPECT_EQ(std::memcmp(blob.data(), expected.data(), blob.size()), 0)
-        << "expert " << id.layer << "/" << id.expert;
-    EXPECT_EQ(store.transfer_blob(id).data(), blob.data());  // stable
-  }
-
-  ExpertStore q4(32, 64, 7, /*quantized=*/true);
-  EXPECT_EQ(q4.transfer_blob({0, 0}).size(), q4.expert_bytes());
-  EXPECT_LT(q4.expert_bytes(), store.expert_bytes());
 }
 
 TEST(ExpertStoreDigest, HashChainsAreOrderSensitive) {

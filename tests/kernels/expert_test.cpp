@@ -76,20 +76,5 @@ TEST(QuantizedExpertTest, ForwardDimensionMismatchThrows) {
   EXPECT_THROW((void)q.forward(x), std::invalid_argument);
 }
 
-TEST(ExpertTest, BlobSerializationRoundTrips) {
-  util::Rng rng(5);
-  const auto w = ExpertWeights::random(rng, 8, 16);
-  ASSERT_EQ(w.blob_floats(), 3u * 8 * 16);
-  std::vector<float> blob(w.blob_floats());
-  EXPECT_EQ(w.copy_blob_to(blob), w.blob_floats());
-  // Layout contract: gate, up, down concatenated row-major.
-  EXPECT_EQ(blob.front(), w.gate.flat().front());
-  EXPECT_EQ(blob[w.gate.size()], w.up.flat().front());
-  EXPECT_EQ(blob[w.gate.size() + w.up.size()], w.down.flat().front());
-  EXPECT_EQ(blob.back(), w.down.flat().back());
-  std::vector<float> small(w.blob_floats() - 1);
-  EXPECT_THROW((void)w.copy_blob_to(small), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hybrimoe::kernels

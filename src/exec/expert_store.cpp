@@ -89,7 +89,7 @@ std::size_t ExpertStore::expert_bytes() const noexcept {
          sizeof(kernels::Q4Block);
 }
 
-std::span<const std::byte> ExpertStore::payload(moe::ExpertId id) {
+std::span<const std::byte> ExpertStore::transfer_blob(moe::ExpertId id) {
   const std::uint32_t key = id.encode();
   {
     std::shared_lock lock(mutex_);
@@ -124,16 +124,14 @@ std::span<const std::byte> ExpertStore::payload(moe::ExpertId id) {
 kernels::ExpertView ExpertStore::weights(moe::ExpertId id) {
   HYBRIMOE_REQUIRE(!quantized_, "a quantized expert store holds no fp32 weights");
   const std::size_t n = d_model_ * d_ff_;
-  return split_payload<float>(payload(id), n, n, d_model_, d_ff_);
+  return split_payload<float>(transfer_blob(id), n, n, d_model_, d_ff_);
 }
-
-std::span<const std::byte> ExpertStore::transfer_blob(moe::ExpertId id) { return payload(id); }
 
 std::vector<float> ExpertStore::forward(moe::ExpertId id, std::span<const float> x) {
   thread_local kernels::ForwardScratch scratch;
   if (!quantized_) return kernels::expert_forward(weights(id), x, scratch);
   const auto q4 = split_payload<kernels::Q4Block>(
-      payload(id), d_ff_ * q4_row_blocks(d_model_), d_model_ * q4_row_blocks(d_ff_), d_model_,
+      transfer_blob(id), d_ff_ * q4_row_blocks(d_model_), d_model_ * q4_row_blocks(d_ff_), d_model_,
       d_ff_);
   return kernels::expert_forward(q4, x, scratch);
 }

@@ -110,9 +110,6 @@ class ExpertStore {
     std::size_t used_ = 0;  ///< bytes carved from chunks_.back()
   };
 
-  /// Materialize-on-first-touch payload lookup shared by the accessors.
-  [[nodiscard]] std::span<const std::byte> payload(moe::ExpertId id);
-
   std::size_t d_model_;
   std::size_t d_ff_;
   std::uint64_t seed_;
